@@ -38,6 +38,10 @@ type Dysta struct {
 	// the pick is bit-identical to the reference scan regardless of how
 	// much the pruning helps. nil until EnableScalable.
 	h *sched.TaskHeap
+	// stack is the DFS's reused index stack.
+	stack []int
+
+	free sched.FreeList[requestState]
 }
 
 // requestState is the per-request bookkeeping of the dynamic level,
@@ -47,13 +51,15 @@ type requestState struct {
 	// in milliseconds. It fully determines ordering when the dynamic
 	// level is disabled (Dysta-w/o-sparse).
 	staticScore float64
-	// pred refines remaining-latency estimates from monitored sparsity.
-	pred *Predictor
 	// remainMS and isolMS cache ms(pred.Remaining(NextLayer)) and
 	// ms(pred.Isolated()): they change only when the request executes a
 	// layer (NextLayer advances and the predictor observes), so refresh
 	// happens there rather than at every scheduling decision.
 	remainMS, isolMS float64
+	// pred refines remaining-latency estimates from monitored sparsity.
+	// It sits last so the three fields a pick reads share the state's
+	// first cache line.
+	pred Predictor
 }
 
 // New returns a Dysta scheduler over the profiling LUT. It panics on an
@@ -124,26 +130,36 @@ func (d *Dysta) PickNextScalable(q *sched.ReadyQueue, now time.Duration) *sched.
 		// tie-break included.
 		return d.h.Min()
 	}
+	n := d.h.Len()
+	if n <= 1 {
+		// A lone candidate is the argmin; no score is needed.
+		return d.h.Min()
+	}
 	queueLen := float64(q.Len())
 	var best *sched.Task
 	bestScore := 0.0
-	var walk func(i int)
-	walk = func(i int) {
-		if i >= d.h.Len() {
-			return
-		}
+	// Pre-order walk: the right child is pushed first so the left
+	// subtree is explored first.
+	stack := append(d.stack[:0], 0)
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
 		t := d.h.At(i)
 		if best != nil && d.heapKey(t) > bestScore {
-			return
+			continue
 		}
 		sc := d.cachedScore(t, now, queueLen)
 		if best == nil || sc < bestScore || (sc == bestScore && t.ID < best.ID) {
 			best, bestScore = t, sc
 		}
-		walk(2*i + 1)
-		walk(2*i + 2)
+		if r := 2*i + 2; r < n {
+			stack = append(stack, r)
+		}
+		if l := 2*i + 1; l < n {
+			stack = append(stack, l)
+		}
 	}
-	walk(0)
+	d.stack = stack
 	return best
 }
 
@@ -161,10 +177,11 @@ func (d *Dysta) OnArrival(t *sched.Task, _ time.Duration) {
 	st := d.lut.MustLookup(t.Key)
 	lat := ms(st.AvgTotal)
 	slack := ms(t.SLO) - lat
-	s := &requestState{
-		staticScore: lat + d.cfg.Beta*slack,
-		pred:        NewPredictor(d.cfg, st),
-	}
+	// Every field is rewritten below, so a recycled state is
+	// indistinguishable from a fresh one.
+	s := d.free.Get()
+	s.staticScore = lat + d.cfg.Beta*slack
+	s.pred.reset(d.cfg, st)
 	s.refresh(t)
 	t.Attachment = s
 	if d.h != nil {
@@ -178,11 +195,7 @@ func (d *Dysta) OnArrival(t *sched.Task, _ time.Duration) {
 // completed request's state is released.
 func (d *Dysta) OnLayerComplete(t *sched.Task, layer int, monitored float64, _ time.Duration) {
 	if t.Done {
-		// Release the heap slot before the state it keys on.
-		if d.h != nil {
-			d.h.Remove(t)
-		}
-		t.Attachment = nil
+		d.release(t)
 		return
 	}
 	if s := state(t); s != nil {
@@ -201,9 +214,16 @@ func (d *Dysta) OnLayerComplete(t *sched.Task, layer int, monitored float64, _ t
 // request has executed no layer, so the predictor holds no monitored
 // sparsity worth carrying — the adopting engine's OnArrival rebuilds an
 // identical fresh state from the LUT.
-func (d *Dysta) OnExtract(t *sched.Task, _ time.Duration) {
+func (d *Dysta) OnExtract(t *sched.Task, _ time.Duration) { d.release(t) }
+
+// release detaches a departing task: its heap slot goes first (the heap
+// keys on the state), then its state returns to the free list.
+func (d *Dysta) release(t *sched.Task) {
 	if d.h != nil {
 		d.h.Remove(t)
+	}
+	if s := state(t); s != nil {
+		d.free.Put(s)
 	}
 	t.Attachment = nil
 }

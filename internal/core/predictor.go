@@ -50,7 +50,23 @@ type Predictor struct {
 // NewPredictor returns a Predictor over the LUT entry for the request's
 // model-pattern pair.
 func NewPredictor(cfg Config, st *trace.Stats) *Predictor {
-	return &Predictor{cfg: cfg, stats: st, gamma: 1}
+	p := new(Predictor)
+	p.reset(cfg, st)
+	return p
+}
+
+// reset reinitializes p for a new request over st, clearing every field
+// so a recycled predictor is indistinguishable from a fresh one. Only
+// the LastN window's storage survives, zeroed, and only when it already
+// has the configured length.
+func (p *Predictor) reset(cfg Config, st *trace.Stats) {
+	w := p.window
+	if len(w) == cfg.N {
+		clear(w)
+	} else {
+		w = nil
+	}
+	*p = Predictor{cfg: cfg, stats: st, gamma: 1, window: w}
 }
 
 // Observe records the hardware monitor's sparsity reading for a completed

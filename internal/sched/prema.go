@@ -53,6 +53,8 @@ type PREMA struct {
 	remH   *IndexedHeap // all ready tasks, keyed (remaining, ID)
 	candH  *IndexedHeap // tasks past the threshold, keyed (remaining, ID)
 	crossH *IndexedHeap // tasks below it, keyed (crossing instant, ID)
+
+	free FreeList[premaState]
 }
 
 // premaState is PREMA's per-task attachment. The idx fields are the
@@ -82,9 +84,32 @@ func (p *PREMA) state(t *Task) *premaState {
 	if s, ok := t.Attachment.(*premaState); ok {
 		return s
 	}
-	s := &premaState{st: p.est.stats(t), remIdx: -1, candIdx: -1, crossIdx: -1}
+	return p.attachZero(t)
+}
+
+// attachZero is state's slow path, kept out of line so state inlines
+// into the per-task loops of the pick paths.
+func (p *PREMA) attachZero(t *Task) *premaState {
+	s := p.free.Get()
+	*s = premaState{st: p.est.stats(t), remIdx: -1, candIdx: -1, crossIdx: -1}
 	t.Attachment = s
 	return s
+}
+
+// release detaches a departing task: its heap slots go first (their
+// index stores write through the attachment), then its state returns to
+// the free list, and a dangling last-pick reference is dropped.
+func (p *PREMA) release(t *Task) {
+	if s, ok := t.Attachment.(*premaState); ok {
+		if p.remH != nil {
+			p.dropScalable(s, t)
+		}
+		p.free.Put(s)
+	}
+	t.Attachment = nil
+	if p.lastPick == t {
+		p.lastPick = nil
+	}
 }
 
 // remainingOf reads the profiled remaining time through the attachment.
@@ -207,7 +232,8 @@ func (p *PREMA) PickNextScalable(q *ReadyQueue, now time.Duration) *Task {
 // high priority so they are not starved by long-running tenants.
 func (p *PREMA) OnArrival(t *Task, now time.Duration) {
 	st := p.est.stats(t)
-	s := &premaState{
+	s := p.free.Get()
+	*s = premaState{
 		prio:     priorityForLatency(st.AvgTotal),
 		lastSeen: now,
 		st:       st,
@@ -242,22 +268,15 @@ func priorityForLatency(iso time.Duration) float64 {
 
 // OnLayerComplete implements Scheduler: the task that just executed was
 // not waiting, so its accrual clock resets; a completed task's bookkeeping
-// is released.
+// is released. Clearing lastPick there is behaviorally free (a completed
+// task is never in the ready queue, so every lastPick comparison against
+// ready tasks already fails) and mandatory: under bounded capture the
+// engine recycles completed tasks, and a dangling lastPick would
+// spuriously grant running-task candidacy to whichever new request
+// reuses the allocation.
 func (p *PREMA) OnLayerComplete(t *Task, _ int, _ float64, now time.Duration) {
 	if t.Done {
-		if s, ok := t.Attachment.(*premaState); ok && p.remH != nil {
-			p.dropScalable(s, t)
-		}
-		t.Attachment = nil
-		if p.lastPick == t {
-			// A completed task is never in the ready queue, so every
-			// lastPick comparison against ready tasks already fails —
-			// clearing it is behaviorally free, and mandatory: under
-			// bounded capture the engine recycles completed tasks, and a
-			// dangling lastPick would spuriously grant running-task
-			// candidacy to whichever new request reuses the allocation.
-			p.lastPick = nil
-		}
+		p.release(t)
 		return
 	}
 	s := p.state(t)
@@ -281,15 +300,7 @@ func (p *PREMA) OnLayerComplete(t *Task, _ int, _ float64, now time.Duration) {
 // accumulated tokens (starvation credit is engine-local seniority — part
 // of the price of moving), and a dangling last-pick reference is dropped
 // so the departed task cannot shadow the next dispatch decision.
-func (p *PREMA) OnExtract(t *Task, _ time.Duration) {
-	if p.lastPick == t {
-		p.lastPick = nil
-	}
-	if s, ok := t.Attachment.(*premaState); ok && p.remH != nil {
-		p.dropScalable(s, t)
-	}
-	t.Attachment = nil
-}
+func (p *PREMA) OnExtract(t *Task, _ time.Duration) { p.release(t) }
 
 // accrue credits waiting-time tokens to every ready task since the last
 // decision; the running task accrues nothing while executing (it was not

@@ -47,6 +47,7 @@ type SDRM3 struct {
 	// nodes are re-scored with the exact mapScore.
 	classes  []*sdrmClass
 	classIdx map[time.Duration]*sdrmClass
+	free     FreeList[sdrmState]
 }
 
 // sdrmClass is one isolation class of the scalable pick: the tasks of
@@ -120,30 +121,36 @@ func (s *SDRM3) OnArrival(t *Task, _ time.Duration) {
 		return
 	}
 	c := s.classFor(st)
-	t.Attachment = &sdrmState{st: st, class: c, idx: -1}
+	a := s.free.Get()
+	*a = sdrmState{st: st, class: c, idx: -1}
+	t.Attachment = a
 	c.h.Push(t)
 }
 
 // OnLayerComplete implements Scheduler: in scalable mode the executed
 // task's ExecTime grew, so its class-heap key moved.
-func (*SDRM3) OnLayerComplete(t *Task, _ int, _ float64, _ time.Duration) {
-	st, scal := t.Attachment.(*sdrmState)
+func (s *SDRM3) OnLayerComplete(t *Task, _ int, _ float64, _ time.Duration) {
 	if t.Done {
-		if scal && st.idx >= 0 {
-			st.class.h.RemoveAt(st.idx)
-		}
-		t.Attachment = nil
+		s.release(t)
 		return
 	}
-	if scal && st.idx >= 0 {
+	if st, ok := t.Attachment.(*sdrmState); ok && st.idx >= 0 {
 		st.class.h.FixAt(st.idx)
 	}
 }
 
 // OnExtract implements TaskExtractor: only the attachment holds state.
-func (*SDRM3) OnExtract(t *Task, _ time.Duration) {
-	if st, ok := t.Attachment.(*sdrmState); ok && st.idx >= 0 {
-		st.class.h.RemoveAt(st.idx)
+func (s *SDRM3) OnExtract(t *Task, _ time.Duration) { s.release(t) }
+
+// release detaches a departing task: its class-heap slot goes first
+// (the index store writes through the attachment), then a scalable-mode
+// state returns to the free list.
+func (s *SDRM3) release(t *Task) {
+	if st, ok := t.Attachment.(*sdrmState); ok {
+		if st.idx >= 0 {
+			st.class.h.RemoveAt(st.idx)
+		}
+		s.free.Put(st)
 	}
 	t.Attachment = nil
 }

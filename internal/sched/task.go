@@ -42,7 +42,12 @@ type Task struct {
 	// set it in OnArrival and read it back at every scheduling point,
 	// replacing the per-pick map lookups the baselines used to do. Exactly
 	// one scheduler instance runs per engine invocation, so the slot is
-	// never shared. The engine ignores it.
+	// never shared. The scheduler releases it on the final
+	// OnLayerComplete (Done) and in OnExtract, and must clear it there:
+	// a released state may go back to the scheduler's free list and be
+	// handed to a later arrival. The engine only clears it itself, in
+	// Crash (and Restart clears it again), where the dropped states are
+	// left to the GC.
 	Attachment any
 
 	// tr is the ground-truth sample trace, embedded by value: the struct
@@ -198,7 +203,10 @@ type Scheduler interface {
 // — heap slots, attachments, candidate bookkeeping — as if the task had
 // never arrived, because the same task will re-enter another scheduler
 // instance through its OnArrival. Schedulers that keep no per-task state
-// outside Task.Attachment only need to clear the attachment. A scheduler
+// outside Task.Attachment only need to clear the attachment. The
+// released attachment belongs to the scheduler again: it may recycle it
+// through its own free list for a later arrival, since the task carries
+// no pointer to it once Attachment is cleared. A scheduler
 // without this method cannot serve on a migrating cluster: Engine.Extract
 // refuses (with an error) to withdraw a delivered task from it rather
 // than corrupt its internal ordering structures.
@@ -207,3 +215,26 @@ type TaskExtractor interface {
 	// with the engine clock of the extraction.
 	OnExtract(t *Task, now time.Duration)
 }
+
+// FreeList recycles a scheduler's per-task states (DESIGN.md §14). The
+// scheduler takes a state in OnArrival and puts it back where it
+// releases the task — on the final OnLayerComplete and in OnExtract —
+// so one engine owns the list: it needs no lock, keeps allocation
+// counts exact whatever the GC timing, and never outgrows that engine's
+// peak queue depth. The zero value is an empty list.
+type FreeList[T any] struct{ free []*T }
+
+// Get returns a released state as it was released, or a new zero one
+// when none is free. The caller rewrites every field.
+func (l *FreeList[T]) Get() *T {
+	n := len(l.free)
+	if n == 0 {
+		return new(T)
+	}
+	x := l.free[n-1]
+	l.free = l.free[:n-1]
+	return x
+}
+
+// Put returns a released state to the list.
+func (l *FreeList[T]) Put(x *T) { l.free = append(l.free, x) }
