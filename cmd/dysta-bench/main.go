@@ -129,38 +129,24 @@ func main() {
 	if *rebal != "" {
 		opts.Rebalance = *rebal
 	}
-	// Half-configured migration would silently never run (interval 0 =
-	// migration off; policy "none"/unset ignores every other knob):
-	// refuse in both directions rather than regenerate artefacts that
-	// misleadingly look rebalanced.
-	migrationOff := *rebal == "" || *rebal == "none"
-	if !migrationOff && *rebalIv <= 0 {
-		fmt.Fprintf(os.Stderr, "-rebalance %s needs a positive -rebalance-interval (0 disables migration)\n", *rebal)
-		os.Exit(2)
-	}
-	if migrationOff && (*rebalIv > 0 || *migCost > 0 || *migBudg > 0) {
-		fmt.Fprintln(os.Stderr, "-rebalance-interval/-migration-cost/-migration-budget need -rebalance steal or shed")
-		os.Exit(2)
-	}
 	opts.RebalanceInterval = *rebalIv
 	opts.MigrationCost = *migCost
 	opts.MigrationBudget = *migBudg
-	// Fault injection follows the same switch discipline: -churn arms it,
-	// and the availability model without the switch is dead configuration.
-	if *churn && (*mtbf <= 0 || *mttr <= 0) {
-		fmt.Fprintln(os.Stderr, "-churn needs positive -mtbf and -mttr")
-		os.Exit(2)
-	}
-	if *retryMax < 0 {
-		fmt.Fprintln(os.Stderr, "-retry-max must be >= 0 (0 = unlimited)")
-		os.Exit(2)
-	}
+	// -mtbf/-mttr have nonzero defaults, so only their presence on the
+	// command line tells an availability model without -churn (dead
+	// configuration) from the defaults; Validate sees values only.
+	flag.Visit(func(f *flag.Flag) {
+		if !*churn && (f.Name == "mtbf" || f.Name == "mttr") {
+			fmt.Fprintln(os.Stderr, "-mtbf/-mttr need -churn")
+			os.Exit(2)
+		}
+	})
 	opts.Churn = *churn
 	if *churn {
 		opts.MTBF = *mtbf
 		opts.MTTR = *mttr
-		opts.RetryMax = *retryMax
 	}
+	opts.RetryMax = *retryMax
 	opts.Traffic = *traffic
 	opts.Burst = *burst
 	opts.Autoscale = *autoscale
@@ -171,8 +157,9 @@ func main() {
 		opts.Capture = *capture
 	}
 	opts.ScalablePick = *scalPick
-	// Traffic/autoscaler flags that only make sense together (e.g. -burst
-	// without -traffic mmpp, -scale-min above -scale-max) fail here.
+	// Flags that only make sense together (e.g. -burst without -traffic
+	// mmpp, -rebalance without -rebalance-interval, -retry-max without
+	// -churn, -scale-min above -scale-max) fail here.
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -22,19 +22,6 @@ import (
 	"sparsedysta/internal/workload"
 )
 
-// churnFlagSet reports whether the named flag was passed explicitly on
-// the command line — its default value alone must not arm fault
-// injection.
-func churnFlagSet(name string) bool {
-	set := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			set = true
-		}
-	})
-	return set
-}
-
 func main() {
 	var (
 		wl       = flag.String("workload", "attnn", "workload scenario: attnn, cnn, or a path to a JSON spec (see -dump-spec)")
@@ -63,7 +50,7 @@ func main() {
 		autoscl  = flag.Bool("autoscale", false, "scale the live engine set between -scale-min and -scale-max with the SLO-driven policy (drains idle engines, re-joins them under load)")
 		stream   = flag.Bool("stream", false, "stream arrivals from the generator instead of materializing the request slice (bit-identical schedules; combine with -capture bounded for memory independent of -requests)")
 		capture  = flag.String("capture", "full", "result capture mode: full (per-request outcomes) or bounded (constant-size streaming aggregates; percentiles from a ~3%-error histogram)")
-		scalPick = flag.Bool("scalable-pick", false, "use the heap-backed sublinear scheduling-pick path for schedulers that support it (Dysta, SDRM3 exact; PREMA documented-approximate)")
+		scalPick = flag.Bool("scalable-pick", false, "use the heap-backed sublinear scheduling-pick path for schedulers that support it (Dysta, SDRM3); schedules are bit-identical either way")
 		scaleMin = flag.Int("scale-min", 0, "autoscaler lower bound on live engines (0 = 1, with -autoscale)")
 		scaleMax = flag.Int("scale-max", 0, "autoscaler upper bound on live engines (0 = cluster size, with -autoscale)")
 		eta      = flag.Float64("eta", core.DefaultConfig().Eta, "Dysta eta (dynamic slack weight)")
@@ -114,34 +101,15 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// Half-configured migration would silently never run (interval 0 =
-	// migration off, the library's bit-identity anchor; policy "none"
-	// ignores every other knob): refuse in both directions rather than
-	// report results that misleadingly look rebalanced.
-	migrationOff := *rebal == "" || *rebal == "none"
-	if !migrationOff && *rebalIv <= 0 {
-		fmt.Fprintf(os.Stderr, "-rebalance %s needs a positive -rebalance-interval (0 disables migration)\n", *rebal)
-		os.Exit(2)
-	}
-	if migrationOff && (*rebalIv > 0 || *migCost > 0 || *migBudg > 0) {
-		fmt.Fprintln(os.Stderr, "-rebalance-interval/-migration-cost/-migration-budget need -rebalance steal or shed")
-		os.Exit(2)
-	}
-	// Same no-silent-knob discipline for fault injection: -churn is the
-	// switch, so an availability model or retry cap without it would be
-	// dead configuration.
-	if *churn && (*mtbf <= 0 || *mttr <= 0) {
-		fmt.Fprintln(os.Stderr, "-churn needs positive -mtbf and -mttr")
-		os.Exit(2)
-	}
-	if !*churn && (*retryMax != 0 || churnFlagSet("mtbf") || churnFlagSet("mttr")) {
-		fmt.Fprintln(os.Stderr, "-mtbf/-mttr/-retry-max need -churn")
-		os.Exit(2)
-	}
-	if *retryMax < 0 {
-		fmt.Fprintln(os.Stderr, "-retry-max must be >= 0 (0 = unlimited)")
-		os.Exit(2)
-	}
+	// -mtbf/-mttr have nonzero defaults, so only their presence on the
+	// command line tells an availability model without -churn (dead
+	// configuration) from the defaults; Validate sees values only.
+	flag.Visit(func(f *flag.Flag) {
+		if !*churn && (f.Name == "mtbf" || f.Name == "mttr") {
+			fmt.Fprintln(os.Stderr, "-mtbf/-mttr need -churn")
+			os.Exit(2)
+		}
+	})
 	opts := exp.Options{
 		Seeds:             *seeds,
 		Requests:          *requests,
@@ -170,9 +138,9 @@ func main() {
 		Capture:           *capture,
 		ScalablePick:      *scalPick,
 	}
-	// Traffic/autoscaler flags that only make sense together (e.g. -burst
-	// without -traffic mmpp, -scale-min above -scale-max, bounds exceeding
-	// the -engines cluster) fail here.
+	// Flags that only make sense together (e.g. -burst without -traffic
+	// mmpp, -rebalance without -rebalance-interval, -retry-max without
+	// -churn, -scale-min above -scale-max) fail here.
 	if err := opts.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

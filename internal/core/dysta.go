@@ -181,7 +181,7 @@ func (d *Dysta) OnArrival(t *sched.Task, _ time.Duration) {
 	// indistinguishable from a fresh one.
 	s := d.free.Get()
 	s.staticScore = lat + d.cfg.Beta*slack
-	s.pred.reset(d.cfg, st)
+	s.pred.reset(&d.cfg, st)
 	s.refresh(t)
 	t.Attachment = s
 	if d.h != nil {

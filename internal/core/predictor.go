@@ -27,7 +27,9 @@ import (
 // LUT of the hardware design, §5.2.1). With CoeffMode DensityRatio the
 // same construction is applied in density space.
 type Predictor struct {
-	cfg   Config
+	// cfg is shared, never written: a Dysta's predictors all point at
+	// its configuration, so a per-request state carries no copy of it.
+	cfg   *Config
 	stats *trace.Stats
 	// gamma is the current coefficient under the configured strategy,
 	// maintained incrementally by Observe so Gamma — and therefore every
@@ -48,10 +50,10 @@ type Predictor struct {
 }
 
 // NewPredictor returns a Predictor over the LUT entry for the request's
-// model-pattern pair.
+// model-pattern pair, holding its own copy of cfg.
 func NewPredictor(cfg Config, st *trace.Stats) *Predictor {
 	p := new(Predictor)
-	p.reset(cfg, st)
+	p.reset(&cfg, st)
 	return p
 }
 
@@ -59,7 +61,7 @@ func NewPredictor(cfg Config, st *trace.Stats) *Predictor {
 // so a recycled predictor is indistinguishable from a fresh one. Only
 // the LastN window's storage survives, zeroed, and only when it already
 // has the configured length.
-func (p *Predictor) reset(cfg Config, st *trace.Stats) {
+func (p *Predictor) reset(cfg *Config, st *trace.Stats) {
 	w := p.window
 	if len(w) == cfg.N {
 		clear(w)

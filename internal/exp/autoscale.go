@@ -107,6 +107,28 @@ func (o Options) Validate() error {
 	if _, err := o.schedOptions(); err != nil {
 		return err
 	}
+	// Half-configured migration would silently never run (interval 0 =
+	// migration off; policy "none" ignores every other knob): refuse in
+	// both directions rather than report results that misleadingly look
+	// rebalanced.
+	migrationOff := o.Rebalance == "" || o.Rebalance == "none"
+	if !migrationOff && o.RebalanceInterval <= 0 {
+		return fmt.Errorf("exp: -rebalance %s needs a positive -rebalance-interval (0 disables migration)", o.Rebalance)
+	}
+	if migrationOff && (o.RebalanceInterval > 0 || o.MigrationCost > 0 || o.MigrationBudget > 0) {
+		return fmt.Errorf("exp: -rebalance-interval/-migration-cost/-migration-budget need -rebalance steal or shed")
+	}
+	// Same discipline for fault injection: Churn is the switch, so a
+	// retry cap without it is dead configuration.
+	if o.Churn && (o.MTBF <= 0 || o.MTTR <= 0) {
+		return fmt.Errorf("exp: -churn needs positive -mtbf and -mttr")
+	}
+	if o.RetryMax < 0 {
+		return fmt.Errorf("exp: -retry-max must be >= 0 (0 = unlimited)")
+	}
+	if o.RetryMax != 0 && !o.Churn {
+		return fmt.Errorf("exp: -retry-max needs -churn")
+	}
 	if o.Stream && o.Autoscale {
 		// NewAutoscaler derives its thresholds from the materialized
 		// request slice; a streamed run never has one.

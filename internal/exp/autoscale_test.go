@@ -197,20 +197,27 @@ func TestNewTrafficNames(t *testing.T) {
 	}
 }
 
-// TestOptionsValidate is the satellite CLI check: inconsistent flag
-// combinations fail with a clear error instead of a silent no-op.
+// TestOptionsValidate: inconsistent flag combinations fail with a clear
+// error instead of a silent no-op — one rejected case per rule, in both
+// CLIs, since both validate through Options.Validate.
 func TestOptionsValidate(t *testing.T) {
 	ok := func(mod func(*Options)) Options {
 		o := tiny()
 		mod(&o)
 		return o
 	}
+	const ms = time.Millisecond
+	churn := func(o *Options) { o.Churn, o.MTBF, o.MTTR = true, time.Second, 100*ms }
 	good := map[string]Options{
 		"defaults":        ok(func(o *Options) {}),
 		"poisson":         ok(func(o *Options) { o.Traffic = "poisson" }),
 		"mmpp burst":      ok(func(o *Options) { o.Traffic = "mmpp"; o.Burst = 4 }),
 		"autoscale":       ok(func(o *Options) { o.Engines = 4; o.Autoscale = true }),
 		"autoscale range": ok(func(o *Options) { o.Engines = 4; o.Autoscale = true; o.ScaleMin = 2; o.ScaleMax = 3 }),
+		"steal with interval, cost and budget": ok(func(o *Options) {
+			o.Rebalance, o.RebalanceInterval, o.MigrationCost, o.MigrationBudget = "steal", 2*ms, ms, 5
+		}),
+		"churn with retry cap": ok(func(o *Options) { churn(o); o.RetryMax = 3 }),
 	}
 	for name, o := range good {
 		if err := o.Validate(); err != nil {
@@ -227,6 +234,14 @@ func TestOptionsValidate(t *testing.T) {
 		"scale-min over scale-max":  ok(func(o *Options) { o.Engines = 4; o.Autoscale = true; o.ScaleMin = 3; o.ScaleMax = 2 }),
 		"scale-max over cluster":    ok(func(o *Options) { o.Engines = 4; o.Autoscale = true; o.ScaleMax = 8 }),
 		"scale-max over hetero mix": ok(func(o *Options) { _, o.EngineSpecs, _ = ParseEngines("2x1"); o.Autoscale = true; o.ScaleMax = 3 }),
+		"policy without interval":   ok(func(o *Options) { o.Rebalance = "shed" }),
+		"interval without policy":   ok(func(o *Options) { o.Rebalance, o.RebalanceInterval = "none", 2*ms }),
+		"cost without policy":       ok(func(o *Options) { o.MigrationCost = ms }),
+		"budget without policy":     ok(func(o *Options) { o.MigrationBudget = 5 }),
+		"churn without mtbf":        ok(func(o *Options) { churn(o); o.MTBF = 0 }),
+		"churn without mttr":        ok(func(o *Options) { churn(o); o.MTTR = -ms }),
+		"negative retry cap":        ok(func(o *Options) { churn(o); o.RetryMax = -1 }),
+		"retry cap without churn":   ok(func(o *Options) { o.RetryMax = 3 }),
 	}
 	for name, o := range bad {
 		if err := o.Validate(); err == nil {

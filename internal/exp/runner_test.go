@@ -93,8 +93,10 @@ func TestRunGridShape(t *testing.T) {
 // TestStandardSchedsIncrementalEquivalence: every scheduler of the
 // paper's Table 5 lineup — including Dysta, whose incremental path caches
 // predictor-derived score components — must produce bit-identical
-// schedules on the incremental and reference engine paths over a real
-// generated workload.
+// schedules on its default engine path and the reference PickNext over a
+// real generated workload. The reference run hides the fast-path methods
+// behind a plain sched.Scheduler; for schedulers with only PickNext the
+// two runs take the same path.
 func TestStandardSchedsIncrementalEquivalence(t *testing.T) {
 	opts := tiny()
 	p, err := NewPipeline(workloadAttNN(), opts, 7)
@@ -107,8 +109,6 @@ func TestStandardSchedsIncrementalEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	record := sched.Options{RecordTimeline: true, RecordTasks: true}
-	reference := record
-	reference.ReferencePick = true
 
 	// Dysta config variants: every ablation ships results through the
 	// cachedScore fast path, so each non-default branch (gamma strategy,
@@ -136,19 +136,61 @@ func TestStandardSchedsIncrementalEquivalence(t *testing.T) {
 	}
 
 	for _, spec := range specs {
-		if _, ok := spec.New(p).(sched.IncrementalScheduler); !ok {
-			t.Fatalf("%s does not implement IncrementalScheduler", spec.Name)
-		}
 		fast, err := sched.Run(spec.New(p), reqs, record)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := sched.Run(spec.New(p), reqs, reference)
+		ref, err := sched.Run(struct{ sched.Scheduler }{spec.New(p)}, reqs, record)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(fast, ref) {
 			t.Errorf("%s: incremental and reference schedules diverge", spec.Name)
+		}
+	}
+}
+
+// TestScalablePickIsPure: ScalablePick is a performance flag, so every
+// scheduler must produce DeepEqual per-seed results with it on and off —
+// on one engine with materialized arrivals and full capture, and on a
+// 4-engine load-dispatched cluster with streamed arrivals and bounded
+// capture. Both setups queue deeply enough that picks choose among many
+// ready tasks.
+func TestScalablePickIsPure(t *testing.T) {
+	opts := tiny()
+	opts.Seeds = 2
+	opts.Requests = 300
+	p, err := NewPipeline(workloadAttNN(), opts, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster := opts
+	cluster.Engines, cluster.Dispatch = 4, "load"
+	cluster.Stream, cluster.Capture = true, "bounded"
+	specs := append(WithOracle(StandardScheds()), SchedSpec{"Dysta-w/o-sparse",
+		func(p *Pipeline) sched.Scheduler { return core.NewWithoutSparse(p.LUT) }})
+	for _, setup := range []struct {
+		name string
+		opts Options
+		rate float64
+	}{
+		{"single-engine", opts, 40},
+		{"cluster-stream", cluster, 160},
+	} {
+		for _, spec := range specs {
+			off, err := p.RunSeeds(spec, setup.rate, 10, setup.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flagged := setup.opts
+			flagged.ScalablePick = true
+			on, err := p.RunSeeds(spec, setup.rate, 10, flagged)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(off, on) {
+				t.Errorf("%s/%s: ScalablePick changed the results", setup.name, spec.Name)
+			}
 		}
 	}
 }

@@ -338,13 +338,6 @@ func (o *Oracle) PickNext(ready []*Task, now time.Duration) *Task {
 	return best
 }
 
-// PickNextIncremental implements IncrementalScheduler. Oracle's score is
-// already O(1) per task (the engine maintains TrueRemaining as a running
-// suffix), so the incremental path is the same scan over the queue view.
-func (o *Oracle) PickNextIncremental(q *ReadyQueue, now time.Duration) *Task {
-	return o.PickNext(q.Tasks(), now)
-}
-
 // score mirrors Dysta's dynamic score (Alg. 2 line 11) with perfect
 // latency information, in milliseconds. Negative slack is clamped to zero
 // so already-hopeless tasks compete on remaining time instead of hijacking
@@ -368,7 +361,6 @@ var (
 	_ IncrementalScheduler = (*FCFS)(nil)
 	_ IncrementalScheduler = (*SJF)(nil)
 	_ IncrementalScheduler = (*Planaria)(nil)
-	_ IncrementalScheduler = (*Oracle)(nil)
 
 	_ TaskExtractor = (*FCFS)(nil)
 	_ TaskExtractor = (*SJF)(nil)

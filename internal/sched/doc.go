@@ -22,10 +22,12 @@
 //     lexicographic minimum (score, then task ID), so the pick is
 //     independent of ready-queue iteration order — the queue itself
 //     (swap-removal, heap internals) carries no semantic order.
-//   - Incremental equivalence. Schedulers implementing
-//     IncrementalScheduler must pick the identical task the reference
-//     PickNext would; Options.ReferencePick forces the reference path
-//     and the equivalence tests in this package and internal/exp prove
+//   - Pick-path equivalence. Schedulers implementing
+//     IncrementalScheduler or ScalableScheduler must pick the identical
+//     task the reference PickNext would, so Options.ScalablePick is a
+//     pure performance flag. The equivalence tests in this package,
+//     internal/core and internal/exp reach the reference path by hiding
+//     the fast-path methods (struct{ Scheduler }{s}) and prove
 //     bit-identical schedules.
 //   - Extraction integrity. Engine.Extract / Engine.Adopt (request
 //     migration) only move tasks that have executed no layer, through

@@ -23,10 +23,6 @@ type Options struct {
 	RecordTimeline bool
 	// RecordTasks captures per-request outcomes in Result.Tasks.
 	RecordTasks bool
-	// ReferencePick forces the reference Scheduler.PickNext path even for
-	// schedulers implementing IncrementalScheduler. The equivalence tests
-	// use it to prove both paths produce bit-identical schedules.
-	ReferencePick bool
 	// ScalablePick enables the heap-backed sublinear pick path for
 	// schedulers implementing ScalableScheduler (off by default: the
 	// incremental single-pass scan is the bit-identity anchor, and the
@@ -164,10 +160,10 @@ func NewEngine(s Scheduler, opts Options) *Engine {
 	if e.est != nil {
 		e.curve = opts.BacklogCurve
 	}
-	if inc, ok := s.(IncrementalScheduler); ok && !opts.ReferencePick {
+	if inc, ok := s.(IncrementalScheduler); ok {
 		e.inc = inc
 	}
-	if opts.ScalablePick && !opts.ReferencePick {
+	if opts.ScalablePick {
 		if sc, ok := s.(ScalableScheduler); ok {
 			sc.EnableScalable()
 			e.scalable = sc

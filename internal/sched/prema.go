@@ -30,43 +30,15 @@ type PREMA struct {
 
 	lastPick *Task
 
-	// Scalable-pick state (Options.ScalablePick), nil until
-	// EnableScalable. The eager accrue() materializes every ready
-	// task's tokens at every pick — an O(queue) pass the scalable path
-	// replaces with LAZY accrual: tokens are a pure function
-	// tokens + prio*ms(now - lastSeen) of the per-task state, touched
-	// only at the events that change its slope (dispatch resets, layer
-	// completions). Candidacy (tokens >= Threshold) then becomes a
-	// precomputed threshold-CROSSING INSTANT per task, and the pick is
-	// three heap lookups: promote due crossers from crossH (keyed by
-	// crossing time) into candH (keyed by (remaining, ID)), take
-	// candH's minimum against the lastPick's standing candidacy, and
-	// fall back to remH's all-tasks minimum when no candidate exists.
-	//
-	// This is the ONE documented inexact scalable path: summing
-	// per-pick rounded increments (eager) and rounding one accumulated
-	// span (lazy) differ in the last float ulps, so a task can cross
-	// the threshold one scheduling decision earlier or later than under
-	// the reference, and picks may diverge near the boundary. The
-	// equivalence tests therefore compare aggregate metrics under a
-	// tolerance rather than schedules bit-for-bit (see scalable.go).
-	remH   *IndexedHeap // all ready tasks, keyed (remaining, ID)
-	candH  *IndexedHeap // tasks past the threshold, keyed (remaining, ID)
-	crossH *IndexedHeap // tasks below it, keyed (crossing instant, ID)
-
 	free FreeList[premaState]
 }
 
-// premaState is PREMA's per-task attachment. The idx fields are the
-// task's positions in the scalable heaps (-1 when absent).
+// premaState is PREMA's per-task attachment.
 type premaState struct {
 	prio     float64
 	tokens   float64
 	lastSeen time.Duration
 	st       *trace.Stats
-
-	cross                     time.Duration
-	remIdx, candIdx, crossIdx int
 }
 
 // NewPREMA returns the PREMA baseline with the default threshold.
@@ -91,139 +63,21 @@ func (p *PREMA) state(t *Task) *premaState {
 // into the per-task loops of the pick paths.
 func (p *PREMA) attachZero(t *Task) *premaState {
 	s := p.free.Get()
-	*s = premaState{st: p.est.stats(t), remIdx: -1, candIdx: -1, crossIdx: -1}
+	*s = premaState{st: p.est.stats(t)}
 	t.Attachment = s
 	return s
 }
 
-// release detaches a departing task: its heap slots go first (their
-// index stores write through the attachment), then its state returns to
-// the free list, and a dangling last-pick reference is dropped.
+// release detaches a departing task: its state returns to the free
+// list, and a dangling last-pick reference is dropped.
 func (p *PREMA) release(t *Task) {
 	if s, ok := t.Attachment.(*premaState); ok {
-		if p.remH != nil {
-			p.dropScalable(s, t)
-		}
 		p.free.Put(s)
 	}
 	t.Attachment = nil
 	if p.lastPick == t {
 		p.lastPick = nil
 	}
-}
-
-// remainingOf reads the profiled remaining time through the attachment.
-func (p *PREMA) remainingOf(t *Task) time.Duration {
-	if s, ok := t.Attachment.(*premaState); ok {
-		return s.st.AvgRemaining(t.NextLayer)
-	}
-	return p.est.Remaining(t)
-}
-
-// crossAt returns the instant the task's lazily-accrued tokens reach
-// the threshold: lastSeen plus the remaining deficit over the accrual
-// slope. Already-qualified tasks cross immediately.
-func (p *PREMA) crossAt(s *premaState) time.Duration {
-	if s.tokens >= p.Threshold {
-		return s.lastSeen
-	}
-	if s.prio <= 0 {
-		// No accrual: never crosses. A sentinel far past any simulated
-		// horizon keeps it ordered without a special case.
-		return 1 << 62
-	}
-	wait := (p.Threshold - s.tokens) / s.prio // ms until crossing
-	return s.lastSeen + time.Duration(wait*float64(time.Millisecond))
-}
-
-// EnableScalable implements ScalableScheduler. Must precede the first
-// arrival (the engine calls it at construction).
-func (p *PREMA) EnableScalable() {
-	remLess := func(a, b *Task) bool {
-		ra, rb := p.remainingOf(a), p.remainingOf(b)
-		return ra < rb || (ra == rb && a.ID < b.ID)
-	}
-	p.remH = NewIndexedHeap(remLess, func(t *Task, i int) {
-		if s, ok := t.Attachment.(*premaState); ok {
-			s.remIdx = i
-		}
-	})
-	p.candH = NewIndexedHeap(remLess, func(t *Task, i int) {
-		if s, ok := t.Attachment.(*premaState); ok {
-			s.candIdx = i
-		}
-	})
-	p.crossH = NewIndexedHeap(
-		func(a, b *Task) bool {
-			ca, cb := p.state(a).cross, p.state(b).cross
-			return ca < cb || (ca == cb && a.ID < b.ID)
-		},
-		func(t *Task, i int) {
-			if s, ok := t.Attachment.(*premaState); ok {
-				s.crossIdx = i
-			}
-		})
-}
-
-// dropScalable releases a departing task's heap slots.
-func (p *PREMA) dropScalable(s *premaState, t *Task) {
-	if s.remIdx >= 0 {
-		p.remH.RemoveAt(s.remIdx)
-	}
-	if s.candIdx >= 0 {
-		p.candH.RemoveAt(s.candIdx)
-	}
-	if s.crossIdx >= 0 {
-		p.crossH.RemoveAt(s.crossIdx)
-	}
-}
-
-// PickNextScalable implements ScalableScheduler (see the field doc for
-// the lazy-accrual contract).
-func (p *PREMA) PickNextScalable(q *ReadyQueue, now time.Duration) *Task {
-	// Promote every task whose crossing instant has passed; promotions
-	// are permanent until a dispatch resets the tokens, exactly like
-	// eager tokens only falling at dispatch.
-	for p.crossH.Len() > 0 {
-		t := p.crossH.Min()
-		s := p.state(t)
-		if s.cross > now {
-			break
-		}
-		p.crossH.RemoveAt(s.crossIdx)
-		p.candH.Push(t)
-	}
-	best := p.candH.Min()
-	// The running task is a candidate by fiat (it occupies the NPU
-	// until preempted), whatever its token balance.
-	if lp := p.lastPick; lp != nil {
-		if s, ok := lp.Attachment.(*premaState); ok && s.candIdx < 0 && q.Contains(lp) {
-			if best == nil {
-				best = lp
-			} else if rl, rb := p.remainingOf(lp), p.remainingOf(best); rl < rb || (rl == rb && lp.ID < best.ID) {
-				best = lp
-			}
-		}
-	}
-	if best == nil {
-		best = p.remH.Min()
-	}
-	// Dispatch semantics mirror dispatch(): a change of pick spends the
-	// new task's tokens, demoting it back below the threshold.
-	if best != p.lastPick {
-		s := p.state(best)
-		s.tokens = 0
-		s.lastSeen = now
-		s.cross = p.crossAt(s)
-		if s.candIdx >= 0 {
-			p.candH.RemoveAt(s.candIdx)
-			p.crossH.Push(best)
-		} else if s.crossIdx >= 0 {
-			p.crossH.FixAt(s.crossIdx)
-		}
-		p.lastPick = best
-	}
-	return best
 }
 
 // OnArrival implements Scheduler: assign the task's static priority.
@@ -237,18 +91,8 @@ func (p *PREMA) OnArrival(t *Task, now time.Duration) {
 		prio:     priorityForLatency(st.AvgTotal),
 		lastSeen: now,
 		st:       st,
-		remIdx:   -1, candIdx: -1, crossIdx: -1,
 	}
 	t.Attachment = s
-	if p.remH != nil {
-		p.remH.Push(t)
-		s.cross = p.crossAt(s)
-		if s.tokens >= p.Threshold {
-			p.candH.Push(t)
-		} else {
-			p.crossH.Push(t)
-		}
-	}
 }
 
 // priorityForLatency buckets estimated isolated latency into PREMA's
@@ -279,21 +123,7 @@ func (p *PREMA) OnLayerComplete(t *Task, _ int, _ float64, now time.Duration) {
 		p.release(t)
 		return
 	}
-	s := p.state(t)
-	s.lastSeen = now
-	if p.remH != nil {
-		// The remaining estimate shrank and the accrual clock moved:
-		// repair whichever heaps key on them.
-		s.cross = p.crossAt(s)
-		if s.remIdx >= 0 {
-			p.remH.FixAt(s.remIdx)
-		}
-		if s.candIdx >= 0 {
-			p.candH.FixAt(s.candIdx)
-		} else if s.crossIdx >= 0 {
-			p.crossH.FixAt(s.crossIdx)
-		}
-	}
+	p.state(t).lastSeen = now
 }
 
 // OnExtract implements TaskExtractor: the migrated request forfeits its
@@ -380,6 +210,5 @@ func (p *PREMA) PickNextIncremental(q *ReadyQueue, now time.Duration) *Task {
 
 var (
 	_ IncrementalScheduler = (*PREMA)(nil)
-	_ ScalableScheduler    = (*PREMA)(nil)
 	_ TaskExtractor        = (*PREMA)(nil)
 )

@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// TestRecycledStatesEqualFresh: PREMA and SDRM3 return a departing
-// task's scalable-path state to their free lists, at completion and on
+// TestRecycledStatesEqualFresh: PREMA and SDRM3 (scalable path) return a
+// departing task's state to their free lists, at completion and on
 // OnExtract, and the next arrival on the same scheduler reuses it. The
 // reused state must equal the one a fresh scheduler builds for the same
 // arrival. The first task runs a layer before it leaves, so the
@@ -29,8 +29,7 @@ func TestRecycledStatesEqualFresh(t *testing.T) {
 		}},
 	} {
 		for _, via := range []string{"completion", "extract"} {
-			s := tc.mk().(ScalableScheduler)
-			s.EnableScalable()
+			s := enableScalable(tc.mk())
 			first := newTask(a)
 			s.OnArrival(first, 0)
 			used := first.Attachment
@@ -46,8 +45,7 @@ func TestRecycledStatesEqualFresh(t *testing.T) {
 				t.Fatalf("%s/%s: attachment survives release", tc.name, via)
 			}
 
-			fresh := tc.mk().(ScalableScheduler)
-			fresh.EnableScalable()
+			fresh := enableScalable(tc.mk())
 			rec, ref := newTask(b), newTask(b)
 			s.OnArrival(rec, 3*time.Millisecond)
 			fresh.OnArrival(ref, 3*time.Millisecond)
@@ -59,4 +57,13 @@ func TestRecycledStatesEqualFresh(t *testing.T) {
 			}
 		}
 	}
+}
+
+// enableScalable switches s into heap-maintained mode where it has one,
+// as the engine does under Options.ScalablePick.
+func enableScalable(s Scheduler) Scheduler {
+	if sc, ok := s.(ScalableScheduler); ok {
+		sc.EnableScalable()
+	}
+	return s
 }

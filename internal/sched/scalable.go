@@ -7,10 +7,8 @@ import "time"
 // structures across the arrival/completion/extract hooks so a pick no
 // longer scans the whole ready queue. The contract mirrors
 // IncrementalScheduler's: PickNextScalable must return exactly the task
-// the reference PickNext would (same lexicographic tie-breaks), with the
-// sole documented exception of PREMA, whose lazily-accrued token
-// arithmetic rounds differently from the eager per-pick accrual (see
-// prema.go). Implementations achieve exactness by treating their heaps
+// the reference PickNext would (same lexicographic tie-breaks), without
+// exception. Implementations achieve exactness by treating their heaps
 // as candidate filters — heap keys are provable score bounds, and every
 // surviving candidate is re-scored with the reference formula.
 type ScalableScheduler interface {

@@ -167,13 +167,6 @@ func (s *SDRM3) PickNext(ready []*Task, now time.Duration) *Task {
 	return best
 }
 
-// PickNextIncremental implements IncrementalScheduler. MapScore depends
-// on wall-clock time for every task, so the scan stays linear; the gain
-// is the O(1) per-task profile access via the attachment.
-func (s *SDRM3) PickNextIncremental(q *ReadyQueue, now time.Duration) *Task {
-	return s.PickNext(q.Tasks(), now)
-}
-
 // PickNextScalable implements ScalableScheduler: the exact reference
 // argmax via bound-pruned DFS over each class heap (see the field doc
 // on classes for the bound derivation).
@@ -251,7 +244,6 @@ func (s *SDRM3) mapScore(t *Task, now time.Duration) float64 {
 }
 
 var (
-	_ IncrementalScheduler = (*SDRM3)(nil)
-	_ ScalableScheduler    = (*SDRM3)(nil)
-	_ TaskExtractor        = (*SDRM3)(nil)
+	_ ScalableScheduler = (*SDRM3)(nil)
+	_ TaskExtractor     = (*SDRM3)(nil)
 )
